@@ -30,7 +30,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -50,6 +49,7 @@ import (
 	"provabs/internal/telco"
 	"provabs/internal/tpch"
 	"provabs/internal/treegen"
+	"provabs/internal/wire"
 )
 
 func main() {
@@ -427,49 +427,17 @@ func cmdQuery(args []string) error {
 // queryJSON mirrors the server's /query/stream wire shape on stdout: a
 // header line, then one NDJSON line per scenario.
 func queryJSON(info *session.QueryInfo, rows <-chan session.QueryRow) error {
-	type answerOut struct {
-		Tag   string `json:"tag"`
-		Value any    `json:"value"`
-	}
-	type rowOut struct {
-		Index   int64              `json:"index"`
-		Assign  map[string]float64 `json:"assign,omitempty"`
-		Answers []answerOut        `json:"answers,omitempty"`
-		Error   string             `json:"error,omitempty"`
-	}
-	enc := json.NewEncoder(os.Stdout)
-	if err := enc.Encode(map[string]any{
-		"semiring": info.Semiring.String(), "scenarios": info.Scenarios,
-	}); err != nil {
+	buf := wire.AppendQueryHeader(nil, wire.Query{Semiring: info.Semiring.String(), Scenarios: info.Scenarios})
+	if _, err := os.Stdout.Write(buf); err != nil {
 		return err
 	}
 	for row := range rows {
-		line := rowOut{Index: row.Index, Assign: row.Assign}
-		if row.Err != nil {
-			line.Error = row.Err.Error()
-		} else {
-			line.Answers = make([]answerOut, len(row.Answers))
-			for i, a := range row.Answers {
-				line.Answers[i] = answerOut{Tag: a.Tag, Value: wireValue(a.Value)}
-			}
-		}
-		if err := enc.Encode(line); err != nil {
+		buf = wire.AppendRow(buf[:0], wire.Row(row))
+		if _, err := os.Stdout.Write(buf); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// wireValue maps a carrier value to a JSON-encodable one (the tropical /
-// minmax identities are ±Inf, which encoding/json rejects as numbers).
-func wireValue(v any) any {
-	if f, ok := v.(float64); ok && math.IsInf(f, 0) {
-		if f > 0 {
-			return "+Inf"
-		}
-		return "-Inf"
-	}
-	return v
 }
 
 // queryText prints a human-readable sweep: one line per scenario with its

@@ -16,6 +16,7 @@ import (
 
 	"provabs/internal/durable"
 	"provabs/internal/registry"
+	"provabs/internal/wire"
 )
 
 // Options tunes a Gateway. The zero value is usable; New fills defaults.
@@ -369,7 +370,11 @@ func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (g *Gateway) writeError(w http.ResponseWriter, status int, err error) {
-	g.writeJSON(w, status, map[string]string{"error": err.Error()})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if _, werr := w.Write(wire.AppendError(nil, err.Error())); werr != nil {
+		g.opts.Logger.Printf("gateway: writing response: %v", werr)
+	}
 }
 
 // writeLimited answers a limiter rejection: 429 with Retry-After.
@@ -558,7 +563,7 @@ func (g *Gateway) claimWrite(w http.ResponseWriter, r *http.Request, name string
 
 // verbClass classifies a session sub-verb for routing policy.
 type verbClass struct {
-	stream bool // NDJSON in or out: proxy full-duplex, flush per line
+	stream bool // NDJSON in or out: proxy full-duplex, flush per chunk
 	write  bool // mutates the session: parked/journaled during migration
 	// idempotent marks verbs safe to retry on transport failure: repeating
 	// them cannot change state twice. whatif/query/export/stats only read;

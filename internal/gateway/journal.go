@@ -50,6 +50,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"provabs/internal/wire"
 )
 
 // addProxy states.
@@ -94,7 +96,7 @@ type addProxy struct {
 	wmu       sync.Mutex
 	w         http.ResponseWriter
 	rc        *http.ResponseController
-	enc       *json.Encoder
+	buf       []byte // line encoding buffer, reused under wmu
 	anyWrite  bool
 	termWrote bool
 
@@ -127,7 +129,6 @@ func (g *Gateway) serveAddStream(w http.ResponseWriter, r *http.Request, name st
 		clientCtx: r.Context(),
 		w:         w,
 		rc:        http.NewResponseController(w),
-		enc:       json.NewEncoder(w),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	if err := p.rc.EnableFullDuplex(); err != nil && !errors.Is(err, http.ErrNotSupported) {
@@ -327,7 +328,7 @@ func (p *addProxy) pumpAcks(leg *upstreamLeg, resp *http.Response) {
 		ci := p.pending[0]
 		p.pending = p.pending[1:]
 		p.mu.Unlock()
-		if !p.writeAck(ackMsg{Index: &ci, Error: msg.Error}) {
+		if !p.writeAck(ci, msg.Error) {
 			leg.err = errClientGone
 			break
 		}
@@ -578,7 +579,7 @@ func (p *addProxy) failLocked(err error) {
 }
 
 // writeAck relays one ack line to the client.
-func (p *addProxy) writeAck(msg ackMsg) bool {
+func (p *addProxy) writeAck(index int, errMsg string) bool {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	if p.termWrote {
@@ -588,7 +589,8 @@ func (p *addProxy) writeAck(msg ackMsg) bool {
 		p.w.Header().Set("Content-Type", "application/x-ndjson")
 		p.anyWrite = true
 	}
-	if err := p.enc.Encode(msg); err != nil {
+	p.buf = wire.AppendAck(p.buf[:0], index, errMsg)
+	if _, err := p.w.Write(p.buf); err != nil {
 		return false
 	}
 	if err := p.rc.Flush(); err != nil {
@@ -615,7 +617,8 @@ func (p *addProxy) sendTerminal(err error, status int) {
 		p.g.writeError(p.w, status, fmt.Errorf("gateway: %v", err))
 		return
 	}
-	if encErr := p.enc.Encode(map[string]string{"error": fmt.Sprintf("gateway: %v", err)}); encErr == nil {
+	p.buf = wire.AppendError(p.buf[:0], fmt.Sprintf("gateway: %v", err))
+	if _, werr := p.w.Write(p.buf); werr == nil {
 		p.rc.Flush() //nolint:errcheck // the conversation is over either way
 	}
 }

@@ -13,19 +13,22 @@ package gateway
 //     deadlock the backend solves the same way), the request body streams
 //     through to the backend while response bytes flow back, and every
 //     chunk read from the backend is flushed immediately so per-line ack
-//     latency survives the extra hop. A backend that dies mid-stream
+//     latency survives the extra hop. The backend flushes when it has no
+//     further line ready, so one chunk may carry several lines; the
+//     gateway passes them on as they came. A backend that dies mid-stream
 //     surfaces as an in-band {"error": …} terminal line — never a
 //     silently hung client.
 //
 // Hop-by-hop headers are stripped both ways per RFC 9110 §7.6.1.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
+
+	"provabs/internal/wire"
 )
 
 // hopHeaders never cross a proxy.
@@ -171,8 +174,8 @@ func (g *Gateway) proxyStream(w http.ResponseWriter, r *http.Request, b *backend
 			g.suspect(b)
 			g.opts.Logger.Printf("gateway: %s %s via %s: backend read: %v", r.Method, r.URL.Path, b.addr, rerr)
 			if stream {
-				line := map[string]string{"error": fmt.Sprintf("gateway: backend %s failed mid-stream: %v", b.addr, rerr)}
-				if encErr := json.NewEncoder(w).Encode(line); encErr == nil {
+				line := wire.AppendError(nil, fmt.Sprintf("gateway: backend %s failed mid-stream: %v", b.addr, rerr))
+				if _, werr := w.Write(line); werr == nil {
 					rc.Flush() //nolint:errcheck // best effort: the conversation is over either way
 				}
 			} else if !wrote {

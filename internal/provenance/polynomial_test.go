@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -179,6 +180,33 @@ func TestSubstituteExponentsDoNotMergeAcrossPowers(t *testing.T) {
 	}
 	if got := q2.Coeff(g, g); got != 2 {
 		t.Errorf("coeff of g^2 = %v, want 2", got)
+	}
+}
+
+// TestSubstituteDeterministic merges 40 terms into one monomial again and
+// again: the merged coefficient must have the same bits every time, or an
+// abstracted answer could differ between a process and its restored or
+// migrated copy. Summed in map order, the bits vary from run to run.
+func TestSubstituteDeterministic(t *testing.T) {
+	vb := NewVocab()
+	g := vb.Var("g")
+	rng := rand.New(rand.NewSource(1))
+	p := NewPolynomial()
+	subst := make(map[Var]Var)
+	for i := 0; i < 40; i++ {
+		v := vb.Var(fmt.Sprintf("x%d", i))
+		subst[v] = g
+		p.AddTerm(rng.Float64()*math.Pow(10, float64(rng.Intn(17)-8)), v)
+	}
+	want := math.Float64bits(p.Substitute(subst).Coeff(g))
+	for i := 0; i < 200; i++ {
+		q := p.Substitute(subst)
+		if q.Size() != 1 {
+			t.Fatalf("size after subst = %d, want 1", q.Size())
+		}
+		if got := math.Float64bits(q.Coeff(g)); got != want {
+			t.Fatalf("substitution %d: coefficient bits %#x, first substitution gave %#x", i, got, want)
+		}
 	}
 }
 

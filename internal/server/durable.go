@@ -18,6 +18,7 @@ import (
 	"provabs/internal/durable"
 	"provabs/internal/registry"
 	"provabs/internal/session"
+	"provabs/internal/wire"
 )
 
 // handleExport streams the session's state as a snapshot — the same
@@ -87,16 +88,6 @@ type addLine struct {
 	Poly string `json:"poly"`
 }
 
-// ackLine is the per-add acknowledgement. Under a durable registry an ack
-// without error means the add is fsynced — it survives any crash from
-// here on. An in-band error (a malformed polynomial) skips that line and
-// the stream continues; a persistence failure ends the stream, since
-// later acks could not promise durability anymore.
-type ackLine struct {
-	Index int    `json:"index"`
-	Error string `json:"error,omitempty"`
-}
-
 // handleAddStream ingests polynomials over NDJSON, full duplex: each line
 // is applied (and, when durable, logged + fsynced) before its ack is
 // flushed, so a client pipelining adds gets exact knowledge of what is
@@ -119,7 +110,6 @@ func (s *Server) handleAddStream(w http.ResponseWriter, r *http.Request, sess *r
 		}
 	}()
 
-	enc := json.NewEncoder(w)
 	rc := http.NewResponseController(w)
 	if err := rc.EnableFullDuplex(); err != nil && !errors.Is(err, http.ErrNotSupported) {
 		s.logger.Printf("server: %s %s: full duplex: %v", r.Method, r.URL.Path, err)
@@ -142,13 +132,21 @@ func (s *Server) handleAddStream(w http.ResponseWriter, r *http.Request, sess *r
 	}
 	scan.Buffer(make([]byte, 0, bufCap), int(s.maxLine))
 
+	// An ack without error means the add is applied — and, under a durable
+	// registry, fsynced: it survives any crash from here on. Each ack is
+	// flushed at once, since the writer is waiting on that promise. An
+	// in-band error (a malformed polynomial) skips that line and the stream
+	// continues; a persistence failure ends the stream, since later acks
+	// could not promise durability anymore.
 	wrote := false
-	writeAck := func(ack ackLine) bool {
+	var buf []byte
+	writeAck := func(index int, errMsg string) bool {
 		if !wrote {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			wrote = true
 		}
-		if err := enc.Encode(ack); err != nil {
+		buf = wire.AppendAck(buf[:0], index, errMsg)
+		if _, err := w.Write(buf); err != nil {
 			s.logger.Printf("server: %s %s: ack write: %v", r.Method, r.URL.Path, err)
 			return false
 		}
@@ -178,7 +176,7 @@ func (s *Server) handleAddStream(w http.ResponseWriter, r *http.Request, sess *r
 			break
 		}
 		if req.Poly == "" {
-			if !writeAck(ackLine{Index: index, Error: "add line needs a poly"}) {
+			if !writeAck(index, "add line needs a poly") {
 				return
 			}
 			continue
@@ -189,7 +187,7 @@ func (s *Server) handleAddStream(w http.ResponseWriter, r *http.Request, sess *r
 		// durability the log can no longer provide.
 		p, err := sess.Engine().ParsePoly(req.Poly)
 		if err != nil {
-			if !writeAck(ackLine{Index: index, Error: err.Error()}) {
+			if !writeAck(index, err.Error()) {
 				return
 			}
 			continue
@@ -198,7 +196,7 @@ func (s *Server) handleAddStream(w http.ResponseWriter, r *http.Request, sess *r
 			terminal = err
 			break
 		}
-		if !writeAck(ackLine{Index: index}) {
+		if !writeAck(index, "") {
 			return
 		}
 	}
@@ -219,7 +217,7 @@ func (s *Server) handleAddStream(w http.ResponseWriter, r *http.Request, sess *r
 		s.writeError(w, r, status, terminal)
 		return
 	}
-	if err := enc.Encode(map[string]string{"error": terminal.Error()}); err != nil {
+	if _, err := w.Write(wire.AppendError(buf[:0], terminal.Error())); err != nil {
 		s.logger.Printf("server: %s %s: terminal error write: %v", r.Method, r.URL.Path, err)
 	}
 }

@@ -156,30 +156,6 @@ func TestQueryStreamEndpointExplain(t *testing.T) {
 	}
 }
 
-// TestEncodeAssign pins the hand-rolled assign encoder byte-for-byte to
-// encoding/json's map output across float forms and keys that need
-// escaping.
-func TestEncodeAssign(t *testing.T) {
-	for _, assign := range []map[string]float64{
-		{"m1": 0, "m3": 1},
-		{"b": -0.30000000000000004, "a": 2.5, "zz": 1e21, "q": 3.2e-7},
-		{"x": 1e-6, "y": 123456789.125, "neg": -7},
-		{"weird \"key\"\\n": 1, "ünïcode": 2, "a<b&c>d": 3},
-		{"single": 42},
-	} {
-		want, err := json.Marshal(assign)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := encodeAssign(assign); string(got) != string(want) {
-			t.Errorf("encodeAssign(%v) = %s, want %s", assign, got, want)
-		}
-	}
-	if got := encodeAssign(nil); got != nil {
-		t.Errorf("encodeAssign(nil) = %s, want nil", got)
-	}
-}
-
 // TestStreamEndpointLiteralLines exercises the shared scenario-literal
 // parser on the what-if stream: bare "x=1" lines interleave with JSON
 // lines, and a malformed literal terminates the stream with a positioned

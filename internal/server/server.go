@@ -15,13 +15,14 @@
 //	POST   /v1/sessions/{name}/compress       run a compression strategy
 //	POST   /v1/sessions/{name}/whatif         one scenario in, answers out
 //	POST   /v1/sessions/{name}/whatif/stream  NDJSON in, NDJSON out, flushed
-//	                                          per line as answers compute
+//	                                          when no further answer is ready
 //	POST   /v1/sessions/{name}/query          one ScenQL statement in, the
 //	                                          sweep's rows (or the EXPLAIN
 //	                                          plan tree) out
 //	POST   /v1/sessions/{name}/query/stream   ScenQL in, NDJSON rows out,
 //	                                          generated server-side and
-//	                                          flushed per scenario
+//	                                          flushed when no further row
+//	                                          is ready
 //	POST   /v1/sessions/{name}/add            NDJSON {"tag","poly"} lines in,
 //	                                          per-line acks out; under a
 //	                                          durable registry an ack means
@@ -44,10 +45,11 @@
 // "semiring": "bool"|"count"|"tropical"|"minmax" to evaluate in that
 // provenance semiring instead of the float default (deletion propagation,
 // derivation counting, min-plus cost, max-min clearance); streams pick the
-// carrier once for the whole connection with ?semiring=. Non-finite
-// tropical/minmax answers are encoded as the strings "+Inf"/"-Inf".
-// Per-scenario semantic
-// errors (an unknown variable, say) are reported in-band as
+// carrier once for the whole connection with ?semiring=. Answers JSON
+// cannot carry as numbers are encoded as strings: an infinite answer (the
+// tropical/minmax identities, an overflowed float) as "+Inf"/"-Inf", and
+// an undefined float answer (+Inf plus -Inf, say) as "NaN". Per-scenario
+// semantic errors (an unknown variable, say) are reported in-band as
 // {"index": i, "error": "…"} without tearing down the stream; malformed
 // JSON terminates the stream with a final {"error": "…"} line, since the
 // remainder of the body cannot be trusted to be line-aligned. Requests
@@ -67,11 +69,11 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"provabs/internal/abstree"
@@ -81,6 +83,7 @@ import (
 	"provabs/internal/scenql"
 	"provabs/internal/semiring"
 	"provabs/internal/session"
+	"provabs/internal/wire"
 )
 
 // defaultMaxLineBytes bounds one scenario or compress request body and one
@@ -315,8 +318,18 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 	}
 }
 
+// writeLine sends one codec-encoded JSON body, logging a failed write the
+// way writeJSON does.
+func (s *Server) writeLine(w http.ResponseWriter, r *http.Request, status int, line []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if _, err := w.Write(line); err != nil {
+		s.logger.Printf("server: %s %s: writing response: %v", r.Method, r.URL.Path, err)
+	}
+}
+
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	s.writeJSON(w, r, status, map[string]string{"error": err.Error()})
+	s.writeLine(w, r, status, wire.AppendError(nil, err.Error()))
 }
 
 // decodeJSON decodes one bounded JSON request body. An over-limit body is
@@ -507,42 +520,6 @@ func (req *scenarioRequest) scenario() *hypo.Scenario {
 	return sc
 }
 
-// answerJSON is one tagged answer on the wire. Value is the evaluation
-// carrier's value — a float64 magnitude, a bool, an int64 count — except
-// that the non-finite tropical/minmax identities, which JSON cannot carry
-// as numbers, are encoded as the strings "+Inf" and "-Inf".
-type answerJSON struct {
-	Tag   string `json:"tag"`
-	Value any    `json:"value"`
-}
-
-// wireValue maps a carrier value to its JSON encoding (±Inf as strings;
-// encoding/json rejects non-finite floats).
-func wireValue(v any) any {
-	if f, ok := v.(float64); ok && math.IsInf(f, 0) {
-		if f > 0 {
-			return "+Inf"
-		}
-		return "-Inf"
-	}
-	return v
-}
-
-func toAnswerJSON(answers []hypo.ValueAnswer) []answerJSON {
-	out := make([]answerJSON, len(answers))
-	for i, a := range answers {
-		out[i] = answerJSON{Tag: a.Tag, Value: wireValue(a.Value)}
-	}
-	return out
-}
-
-// streamLine is one NDJSON response line of whatif/stream.
-type streamLine struct {
-	Index   int          `json:"index"`
-	Answers []answerJSON `json:"answers,omitempty"`
-	Error   string       `json:"error,omitempty"`
-}
-
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request, sess *registry.Session) {
 	var req scenarioRequest
 	if !s.decodeJSON(w, r, s.maxLine, &req, "scenario") {
@@ -558,16 +535,17 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request, sess *regi
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, map[string]any{"answers": toAnswerJSON(answers)})
+	s.writeLine(w, r, http.StatusOK, wire.AppendAnswers(nil, answers))
 }
 
 // handleStream is the streaming batch endpoint: scenarios are read off the
-// request body line by line and fed to Engine.StreamIn; each answer line is
-// flushed as soon as it is computed, so a long-lived client sees results
-// while it is still sending scenarios. A ?semiring= query parameter picks
-// the evaluation carrier for the whole stream (default float). The stream
-// ends early when the client goes away (a failed write or flush) or the
-// session is closed (DELETE /v1/sessions/{name} while streaming).
+// request body line by line and fed to Engine.StreamIn; answer lines are
+// flushed whenever no further answer is ready (see streamLines), so a
+// long-lived client sees results while it is still sending scenarios. A
+// ?semiring= query parameter picks the evaluation carrier for the whole
+// stream (default float). The stream ends early when the client goes away
+// (a failed write or flush) or the session is closed (DELETE
+// /v1/sessions/{name} while streaming).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *registry.Session) {
 	releaseStream, ok := s.acquireStream(w, r)
 	if !ok {
@@ -592,10 +570,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *regi
 		}
 	}()
 
-	in := make(chan *hypo.Scenario)
-	results := sess.Engine().StreamIn(ctx, kind, in)
+	// The reader runs up to one micro-batch ahead of the evaluator, so a
+	// pipelining client's scenarios reach the engine in full micro-batches.
+	// accepted counts the scenarios handed to the engine: each yields
+	// exactly one result, so while the lines written trail it an answer is
+	// still due and the response is not flushed yet.
+	eng := sess.Engine()
+	in := make(chan *hypo.Scenario, eng.StreamBatch())
+	var accepted atomic.Int64
+	results := eng.StreamIn(ctx, kind, in)
 
-	enc := json.NewEncoder(w)
 	rc := http.NewResponseController(w)
 	// A graceful drain must be able to end this stream even while the
 	// reader goroutine below is blocked mid-Scan on a quiet client.
@@ -653,6 +637,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *regi
 					return
 				}
 			}
+			accepted.Add(1)
 			select {
 			case in <- sc:
 			case <-ctx.Done():
@@ -680,28 +665,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *regi
 	if err := rc.EnableFullDuplex(); err != nil && !errors.Is(err, http.ErrNotSupported) {
 		s.logger.Printf("server: %s %s: full duplex: %v", r.Method, r.URL.Path, err)
 	}
-	wrote := false
-	for res := range results {
-		if !wrote {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			wrote = true
-		}
-		line := streamLine{Index: res.Index}
-		if res.Err != nil {
-			line.Error = res.Err.Error()
-		} else {
-			line.Answers = toAnswerJSON(res.Answers)
-		}
-		if err := enc.Encode(line); err != nil {
-			s.logger.Printf("server: %s %s: stream write: %v", r.Method, r.URL.Path, err)
-			return // client went away; cancel() stops the evaluation loop
-		}
-		// A failed flush is the earliest reliable dead-client signal for
-		// NDJSON; stop evaluating instead of churning through the batch.
-		if err := rc.Flush(); err != nil {
-			s.logger.Printf("server: %s %s: stream flush: %v", r.Method, r.URL.Path, err)
-			return
-		}
+	wrote, err := streamLines(w, rc, results, &accepted, func(buf []byte, res session.ValueStreamResult) []byte {
+		return wire.AppendRow(buf, wire.Row{Index: int64(res.Index), Answers: res.Answers, Err: res.Err})
+	})
+	if err != nil {
+		// The client went away; cancel() stops the evaluation loop.
+		s.logger.Printf("server: %s %s: %v", r.Method, r.URL.Path, err)
+		return
 	}
 	readMu.Lock()
 	err = readErr
@@ -718,9 +688,42 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *regi
 		s.writeError(w, r, status, err)
 		return
 	}
-	if encErr := enc.Encode(map[string]string{"error": err.Error()}); encErr != nil {
-		s.logger.Printf("server: %s %s: stream terminal error write: %v", r.Method, r.URL.Path, encErr)
+	if _, werr := w.Write(wire.AppendError(nil, err.Error())); werr != nil {
+		s.logger.Printf("server: %s %s: stream terminal error write: %v", r.Method, r.URL.Path, werr)
 	}
+}
+
+// streamLines writes one NDJSON line per value received on results, each
+// encoded into a reused buffer, and reports whether it wrote any. The
+// Content-Type is set just before the first line, so a handler that ends
+// without writing one can still answer with an error status. The response
+// is flushed only when no further line is due: results holds nothing more
+// and, when accepted is not nil, every input it counts has had its line
+// written. A client that waits for an answer before it sends its next line
+// gets that answer at once, while a pipelined client or a fast sweep gets
+// many lines per TCP write. A failed write or flush — the earliest reliable
+// dead-client signal — returns the error; the caller stops evaluating.
+func streamLines[T any](w http.ResponseWriter, rc *http.ResponseController, results <-chan T, accepted *atomic.Int64, encode func([]byte, T) []byte) (wrote bool, err error) {
+	var buf []byte
+	var written int64
+	for res := range results {
+		if !wrote {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			wrote = true
+		}
+		buf = encode(buf[:0], res)
+		if _, err := w.Write(buf); err != nil {
+			return wrote, fmt.Errorf("stream write: %w", err)
+		}
+		written++
+		if len(results) > 0 || (accepted != nil && written < accepted.Load()) {
+			continue
+		}
+		if err := rc.Flush(); err != nil {
+			return wrote, fmt.Errorf("stream flush: %w", err)
+		}
+	}
+	return wrote, nil
 }
 
 // compressRequest tunes a server-side compression run.

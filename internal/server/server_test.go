@@ -3,15 +3,45 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"provabs/internal/abstree"
 	"provabs/internal/provenance"
 	"provabs/internal/registry"
 	"provabs/internal/session"
+)
+
+// The response line shapes, as a client decodes them.
+type (
+	answerJSON struct {
+		Tag   string `json:"tag"`
+		Value any    `json:"value"`
+	}
+	streamLine struct {
+		Index   int          `json:"index"`
+		Answers []answerJSON `json:"answers"`
+		Error   string       `json:"error"`
+	}
+	queryStreamHeader struct {
+		Semiring  string `json:"semiring"`
+		Scenarios int64  `json:"scenarios"`
+	}
+	queryRowJSON struct {
+		Index   int64        `json:"index"`
+		Answers []answerJSON `json:"answers"`
+		Error   string       `json:"error"`
+	}
+	ackLine struct {
+		Index int    `json:"index"`
+		Error string `json:"error"`
+	}
 )
 
 // testSet builds the one-polynomial set used across the server tests; its
@@ -81,6 +111,55 @@ func TestWhatIfEndpoint(t *testing.T) {
 	want := (220.8 + 240 + 127.4 + 114.45) * 0.5
 	if got := body.Answers[0].Value; got < want-1e-9 || got > want+1e-9 {
 		t.Errorf("value = %v, want %v", got, want)
+	}
+}
+
+// TestNaNAnswer: +Inf plus -Inf makes the answer NaN, which encoding/json
+// refuses to encode. It must come out as the string "NaN" — on the one-shot
+// endpoint instead of an empty 200, and on a stream without losing the
+// answer to the next scenario.
+func TestNaNAnswer(t *testing.T) {
+	ts, _ := newTestServer(t)
+	const nan = `{"assign":{"p1":1e300,"m1":1e300,"f1":-1e300}}`
+	resp, err := http.Post(ts.URL+"/v1/sessions/default/whatif", "application/json", strings.NewReader(nan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"answers":[{"tag":"zip 10001","value":"NaN"}]}` + "\n"; resp.StatusCode != http.StatusOK || string(body) != want {
+		t.Fatalf("whatif = %d %q, want 200 %q", resp.StatusCode, body, want)
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/sessions/default/whatif/stream", "application/x-ndjson",
+		strings.NewReader(nan+"\n"+`{"assign":{"p1":2}}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lines []streamLine
+	scan := bufio.NewScanner(resp.Body)
+	for scan.Scan() {
+		var l streamLine
+		if err := json.Unmarshal(scan.Bytes(), &l); err != nil {
+			t.Fatalf("bad response line %q: %v", scan.Text(), err)
+		}
+		lines = append(lines, l)
+	}
+	if len(lines) != 2 {
+		t.Fatalf("stream answered %d lines, want 2: %+v", len(lines), lines)
+	}
+	if l := lines[0]; l.Index != 0 || len(l.Answers) != 1 || l.Answers[0].Value != "NaN" {
+		t.Errorf("line 0 = %+v, want the NaN answer", l)
+	}
+	want := 2*220.8 + 2*240 + 127.4 + 114.45
+	if l := lines[1]; l.Index != 1 || len(l.Answers) != 1 {
+		t.Errorf("line 1 = %+v, want one answer", l)
+	} else if got, ok := l.Answers[0].Value.(float64); !ok || math.Abs(got-want) > 1e-9 {
+		t.Errorf("line 1 value = %v, want %v", l.Answers[0].Value, want)
 	}
 }
 
@@ -176,6 +255,67 @@ func TestStreamEndpointMalformedLine(t *testing.T) {
 	}
 	if msg, _ := lines[1]["error"].(string); !strings.Contains(msg, "bad scenario line") {
 		t.Errorf("terminal line = %v, want bad-scenario error", lines[1])
+	}
+}
+
+// flushCounter is a ResponseWriter that counts flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestStreamLinesFlushRule pins when streamLines flushes: not while results
+// holds a further value, and, given an accepted count, not while an
+// accepted input still awaits its line — so lines that trickle in one at a
+// time behind inputs already read go out in one flush.
+func TestStreamLinesFlushRule(t *testing.T) {
+	encode := func(buf []byte, i int) []byte { return append(strconv.AppendInt(buf, int64(i), 10), '\n') }
+	run := func(results <-chan int, accepted *atomic.Int64) *flushCounter {
+		w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		wrote, err := streamLines(w, http.NewResponseController(w), results, accepted, encode)
+		if err != nil || !wrote {
+			t.Fatalf("streamLines = %v, %v; want true, nil", wrote, err)
+		}
+		if got := w.Body.String(); got != "0\n1\n2\n" {
+			t.Fatalf("body = %q, want three lines", got)
+		}
+		return w
+	}
+	// One at a time through an unbuffered channel: results is always empty
+	// when a line has just been written.
+	trickle := func() <-chan int {
+		ch := make(chan int)
+		go func() {
+			defer close(ch)
+			for i := 0; i < 3; i++ {
+				ch <- i
+			}
+		}()
+		return ch
+	}
+	queued := make(chan int, 3)
+	for i := 0; i < 3; i++ {
+		queued <- i
+	}
+	close(queued)
+	if w := run(queued, nil); w.flushes != 1 {
+		t.Errorf("queued results: %d flushes, want 1", w.flushes)
+	}
+	if w := run(trickle(), nil); w.flushes != 3 {
+		t.Errorf("trickled results: %d flushes, want 3", w.flushes)
+	}
+	var accepted atomic.Int64
+	accepted.Store(3)
+	if w := run(trickle(), &accepted); w.flushes != 1 {
+		t.Errorf("trickled results behind 3 accepted inputs: %d flushes, want 1", w.flushes)
+	}
+	if ct := run(trickle(), &accepted).Header().Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("Content-Type = %q", ct)
 	}
 }
 

@@ -89,6 +89,15 @@ func (e *Engine) StreamIn(ctx context.Context, kind semiring.Kind, in <-chan *hy
 		cs.Release)
 }
 
+// StreamBatch is the most scenarios one micro-batch of Stream or StreamIn
+// drains (WithStreamBatch, or the default). A producer that buffers this
+// many scenarios ahead of the stream keeps every micro-batch full while it
+// is backed up.
+func (e *Engine) StreamBatch() int {
+	maxBatch, _ := e.streamParams()
+	return maxBatch
+}
+
 // streamParams resolves the configured micro-batch cap and output-channel
 // capacity.
 func (e *Engine) streamParams() (maxBatch, buf int) {
